@@ -51,9 +51,8 @@ from repro.metrics.timeseries import UsageRecorder
 from repro.scheduling.base import RunningJob, Scheduler
 from repro.scheduling.queue import JobQueue
 from repro.simkit.engine import SimulationEngine
-from repro.simkit.events import Event
 from repro.simkit.timers import PeriodicTimer
-from repro.workloads.job import Job, JobState
+from repro.workloads.job import Job
 from repro.workloads.workflow import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - reliability is an optional layer
@@ -75,7 +74,7 @@ class FaultToleranceState:
     the same primitives and cannot drift.
     """
 
-    __slots__ = ("checkpoint", "stats", "remaining", "finish_events")
+    __slots__ = ("checkpoint", "stats", "remaining")
 
     def __init__(
         self,
@@ -90,8 +89,6 @@ class FaultToleranceState:
         self.stats = stats
         #: job_id -> remaining useful work (absent = never interrupted)
         self.remaining: dict[int, float] = {}
-        #: job_id -> the pending completion event (cancellable on kill)
-        self.finish_events: dict[int, Event] = {}
 
 
 class REServer:
@@ -239,10 +236,13 @@ class REServer:
             raise RuntimeError(
                 f"{self.name}: fault tolerance not enabled; cannot kill jobs"
             )
-        if job.job_id not in self.running:
+        run = self.running.pop(job.job_id, None)
+        if run is None:
             raise KeyError(f"job {job.job_id} is not running on {self.name}")
-        del self.running[job.job_id]
-        self.engine.cancel(fault.finish_events.pop(job.job_id))
+        # every start path keeps its completion event on the RunningJob,
+        # so jobs started before fault tolerance was armed (a what-if
+        # fork) are cancellable too
+        self.engine.cancel(run.finish_event)
         self.used -= job.size
         now = self.engine.now
         elapsed = now - (job.start_time or 0.0)
@@ -368,8 +368,10 @@ class REServer:
         fault = self._fault
         if fault is None:
             finish_time = now + job.runtime
-            self.running[job.job_id] = RunningJob(job, finish_time)
-            self.engine.schedule_at(finish_time, self._finish, job)
+            self.running[job.job_id] = RunningJob(
+                job, finish_time,
+                self.engine.schedule_at(finish_time, self._finish, job),
+            )
             return
         # fault-tolerant start: resume the remaining work (full runtime on
         # a first attempt), stretched by the checkpoint-write overhead
@@ -380,9 +382,8 @@ class REServer:
             else work
         )
         finish_time = now + wall
-        self.running[job.job_id] = RunningJob(job, finish_time)
-        fault.finish_events[job.job_id] = self.engine.schedule_at(
-            finish_time, self._finish, job
+        self.running[job.job_id] = RunningJob(
+            job, finish_time, self.engine.schedule_at(finish_time, self._finish, job)
         )
 
     def _finish(self, job: Job) -> None:
@@ -392,7 +393,6 @@ class REServer:
         self.used -= job.size
         fault = self._fault
         if fault is not None:
-            fault.finish_events.pop(job.job_id, None)
             # the successful segment's checkpoint writes are paid node
             # time with no application progress: count them as waste
             work = fault.remaining.pop(job.job_id, job.runtime)
@@ -401,7 +401,7 @@ class REServer:
         self.completed.append(job)
         workflow = self._wf_of_task.get(job.job_id)
         if workflow is not None:
-            self._release_ready_tasks(workflow)
+            self._release_ready_tasks(workflow, job)
             if workflow.completed():
                 for hook in list(self.on_workflow_complete):
                     hook(workflow)
@@ -424,11 +424,11 @@ class REServer:
         for hook in self.idle_increase_hooks:
             hook()
 
-    def _release_ready_tasks(self, workflow: Workflow) -> None:
-        for task in workflow.ready_tasks():
-            if task.state is JobState.PENDING:
-                task.mark_queued(self.engine.now)
-                self.queue.push(task)
+    def _release_ready_tasks(self, workflow: Workflow, done: Job) -> None:
+        now = self.engine.now
+        for task in workflow.release(done):
+            task.mark_queued(now)
+            self.queue.push(task)
 
     # ------------------------------------------------------------------ #
     # teardown / metrics

@@ -10,9 +10,12 @@ testable and swappable.
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from repro.workloads.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simkit.events import Event
 
 
 class RunningJob(NamedTuple):
@@ -25,6 +28,9 @@ class RunningJob(NamedTuple):
 
     job: Job
     finish_time: float
+    #: the pending completion event, cancelled when a node failure kills
+    #: the job (None on the fluid tier, which schedules no events)
+    finish_event: Optional["Event"] = None
 
     @property
     def size(self) -> int:

@@ -5,7 +5,7 @@ This package provides everything the evaluation consumes:
 * :mod:`repro.workloads.job` — the :class:`Job` record and :class:`Trace`
   container shared by every emulated system.
 * :mod:`repro.workloads.workflow` — DAG workflows (dependencies, levels,
-  critical path) built on :mod:`networkx`.
+  critical path, incremental ready-set release).
 * :mod:`repro.workloads.swf` — a reader/writer for the Standard Workload
   Format used by the Parallel Workloads Archive, so real traces can be
   dropped in where the paper used NASA iPSC and SDSC BLUE.

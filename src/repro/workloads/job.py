@@ -625,8 +625,13 @@ def hour_ceil(seconds: float, unit: float = 3600.0) -> int:
     return max(1, int(units))
 
 
-def validate_dependencies(jobs: Sequence[Job]) -> None:
-    """Check that dependencies reference known jobs and form no cycle."""
+def validate_dependencies(jobs: Sequence[Job]) -> dict[int, tuple[int, ...]]:
+    """Check that dependencies reference known jobs and form no cycle.
+
+    Returns the successor map the check builds on the way: job id -> the
+    ids of the jobs depending on it, in id order (a job listing the same
+    dependency twice appears twice).
+    """
     by_id = {j.job_id: j for j in jobs}
     for job in jobs:
         for dep in job.dependencies:
@@ -649,3 +654,4 @@ def validate_dependencies(jobs: Sequence[Job]) -> None:
                 ready.append(child)
     if seen != len(jobs):
         raise ValueError("dependency graph contains a cycle")
+    return {jid: tuple(sorted(kids)) for jid, kids in children.items()}

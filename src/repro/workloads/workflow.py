@@ -3,15 +3,15 @@
 A :class:`Workflow` bundles a set of dependent :class:`~repro.workloads.job.Job`
 tasks and exposes the structural queries the MTC server and the experiment
 harness need: topological levels, critical-path length, ready-set
-computation, and validation.  The DAG itself is a :class:`networkx.DiGraph`
-whose nodes are job ids.
+computation, and validation.  The DAG is kept as id-sorted successor
+tuples (built by the validating Kahn pass), and each instance counts
+every task's unmet dependencies, so a completion releases its newly ready
+successors without rescanning the workflow (:meth:`Workflow.release`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
-
-import networkx as nx
 
 from repro.workloads.job import Job, JobState, clone_job, validate_dependencies
 
@@ -38,15 +38,17 @@ class Workflow:
                     f"task {task.job_id} carries workflow_id {task.workflow_id!r}, "
                     f"expected {self.workflow_id}"
                 )
-        validate_dependencies(self.tasks)
+        #: job id -> ids of the tasks depending on it, in id order
+        self._succ = validate_dependencies(self.tasks)
         self._by_id = {t.job_id: t for t in self.tasks}
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self._by_id)
-        for task in self.tasks:
-            for dep in task.dependencies:
-                self.graph.add_edge(dep, task.job_id)
-        if not nx.is_directed_acyclic_graph(self.graph):  # defensive; validated above
-            raise ValueError("workflow graph is not acyclic")
+        self._arm()
+
+    def _arm(self) -> None:
+        """Fresh execution bookkeeping: nothing completed yet."""
+        #: job id -> dependencies whose completion was not yet released
+        self._unmet = {t.job_id: len(t.dependencies) for t in self.tasks}
+        #: every task before this index in ``tasks`` is COMPLETED
+        self._done_cursor = 0
 
     # ------------------------------------------------------------------ #
     # structure
@@ -58,8 +60,24 @@ class Workflow:
         return self._by_id[job_id]
 
     def levels(self) -> list[list[int]]:
-        """Topological generations (task ids), entry tasks first."""
-        return [sorted(gen) for gen in nx.topological_generations(self.graph)]
+        """Topological generations (task ids), entry tasks first.
+
+        Kahn generations: a task sits one level below its deepest
+        dependency.
+        """
+        unmet = {t.job_id: len(t.dependencies) for t in self.tasks}
+        level = [t.job_id for t in self.tasks if not t.dependencies]
+        out = []
+        while level:
+            out.append(level)
+            nxt = []
+            for jid in level:
+                for child in self._succ[jid]:
+                    unmet[child] -= 1
+                    if unmet[child] == 0:
+                        nxt.append(child)
+            level = sorted(nxt)
+        return out
 
     def level_widths(self) -> list[int]:
         return [len(level) for level in self.levels()]
@@ -71,11 +89,11 @@ class Workflow:
     def critical_path_length(self) -> float:
         """Longest runtime-weighted path; lower bound on any makespan."""
         longest: dict[int, float] = {}
-        for gen in nx.topological_generations(self.graph):
-            for jid in gen:
-                preds = list(self.graph.predecessors(jid))
-                base = max((longest[p] for p in preds), default=0.0)
-                longest[jid] = base + self._by_id[jid].runtime
+        for level in self.levels():
+            for jid in level:
+                task = self._by_id[jid]
+                base = max((longest[d] for d in task.dependencies), default=0.0)
+                longest[jid] = base + task.runtime
         return max(longest.values())
 
     def total_work(self) -> float:
@@ -95,7 +113,11 @@ class Workflow:
     # ------------------------------------------------------------------ #
     def ready_tasks(self) -> list[Job]:
         """Tasks whose dependencies are all completed and which have not
-        started, in id order."""
+        started, in id order.
+
+        A full scan of task states: servers call it once, at submission,
+        and learn of later readiness from :meth:`release`.
+        """
         out = []
         for t in self.tasks:
             if t.state in (JobState.PENDING, JobState.QUEUED) and all(
@@ -104,19 +126,48 @@ class Workflow:
                 out.append(t)
         return out
 
+    def release(self, task: Job) -> list[Job]:
+        """Count one completion of ``task``; return the successors whose
+        last unmet dependency it was, in id order.
+
+        Call it once per completion, not per state change: a task killed
+        and requeued by a node failure completes (and releases) only once.
+        """
+        unmet = self._unmet
+        by_id = self._by_id
+        out = []
+        for child in self._succ[task.job_id]:
+            left = unmet[child] - 1
+            unmet[child] = left
+            if left == 0:
+                out.append(by_id[child])
+        return out
+
     def completed(self) -> bool:
-        return all(t.state is JobState.COMPLETED for t in self.tasks)
+        """Whether every task is COMPLETED.
+
+        Amortised O(1): COMPLETED is terminal until :meth:`reset`, so a
+        cursor skips the completed prefix of ``tasks`` once and for all.
+        """
+        tasks = self.tasks
+        i = self._done_cursor
+        n = len(tasks)
+        while i < n and tasks[i].state is JobState.COMPLETED:
+            i += 1
+        self._done_cursor = i
+        return i == n
 
     def reset(self) -> None:
         for t in self.tasks:
             t.reset()
+        self._arm()
 
     def clone(self) -> "Workflow":
         """Replay copy: fresh pristine tasks, shared immutable topology.
 
-        Skips re-validation and the DiGraph rebuild — the structure was
-        proven acyclic at construction and the graph (job ids only) is
-        never mutated, so clones may share it.
+        Skips re-validation: the structure was proven acyclic at
+        construction and the successor tuples are never mutated, so
+        clones share them.
         """
         new = Workflow.__new__(Workflow)
         new.workflow_id = self.workflow_id
@@ -124,7 +175,8 @@ class Workflow:
         new.submit_time = self.submit_time
         new.tasks = [clone_job(t) for t in self.tasks]
         new._by_id = {t.job_id: t for t in new.tasks}
-        new.graph = self.graph
+        new._succ = self._succ
+        new._arm()
         return new
 
     def makespan(self) -> Optional[float]:

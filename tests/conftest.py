@@ -34,6 +34,19 @@ def make_job(
     )
 
 
+def dependency_digraph(workflow: Workflow):
+    """The workflow's DAG as a :class:`networkx.DiGraph`, built from each
+    task's ``dependencies`` (an independent view for structure checks)."""
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(t.job_id for t in workflow.tasks)
+    graph.add_edges_from(
+        (dep, t.job_id) for t in workflow.tasks for dep in t.dependencies
+    )
+    return graph
+
+
 def make_trace(
     jobs: list[Job], nodes: int = 16, duration: float = 4 * HOUR, name: str = "t"
 ) -> Trace:

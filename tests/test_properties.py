@@ -15,7 +15,7 @@ from repro.scheduling.firstfit import FirstFitScheduler
 from repro.workloads.job import hour_ceil
 from repro.workloads.swf import parse_swf, write_swf
 from repro.workloads.workflowgen import layered_random
-from tests.conftest import make_job, make_trace
+from tests.conftest import dependency_digraph, make_job, make_trace
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -168,7 +168,7 @@ class TestWorkflowGenProperties:
     @settings(max_examples=25, deadline=None)
     def test_layered_random_always_valid_dag(self, widths, seed):
         wf = layered_random(widths, seed=seed)
-        assert nx.is_directed_acyclic_graph(wf.graph)
+        assert nx.is_directed_acyclic_graph(dependency_digraph(wf))
         assert wf.level_widths() == widths
         assert wf.critical_path_length() <= wf.total_work() + 1e-9
 

@@ -358,6 +358,42 @@ class TestWhatIf:
         assert "only_in_scenario" in result.diff
         assert "reliability" in result.diff["only_in_scenario"]
 
+    def test_mtbf_delta_kills_jobs_running_at_the_fork(self):
+        """Jobs started before the fork armed the injector carry no
+        fault-tolerance state of their own; a failure may still kill them,
+        and each killed one is requeued and completes exactly once."""
+        from repro.serving.whatif import _run_continuation, apply_delta
+
+        service = build_service(dcs_spec())
+        service.submit_batch(make_jobs(4, gap=10.0, runtime=3 * 3600.0))
+        service.advance_to(500.0)
+        running_at_fork = set(service.live.server.running)
+        assert len(running_at_fork) == 4  # 4 x 2 nodes: the machine is full
+
+        # the public path succeeds
+        result = WhatIfEngine(service).what_if({"mtbf_hours": 4.0}, DAY)
+        assert result.scenario["reliability"]["killed_jobs"] > 0
+
+        # the same branch by hand, to see which jobs were killed
+        branch = service.fork()
+        apply_delta(branch, ScenarioDelta(mtbf_hours=4.0), seed=service.seed)
+        server = branch.live.server
+        killed = []
+        kill = server.kill_running
+
+        def recording_kill(job):
+            killed.append(job.job_id)
+            return kill(job)
+
+        server.kill_running = recording_kill
+        payload = _run_continuation(branch, service.now + DAY)
+        assert payload == result.scenario
+        assert len(killed) > len(set(killed))  # some job died twice
+        killed_pre_fork = set(killed) & running_at_fork
+        assert killed_pre_fork
+        done = [j.job_id for j in server.completed]
+        assert sorted(done) == sorted(running_at_fork)  # each exactly once
+
     def test_billing_delta_on_ssp(self):
         service = build_service(dcs_spec(system="ssp"))
         # short jobs on a per-hour meter: per-second billing must be cheaper

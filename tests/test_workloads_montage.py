@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.workloads.montage import MontageSpec, generate_montage
+from tests.conftest import dependency_digraph
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ class TestPaperShape:
         assert montage.max_width() == 662
 
     def test_dag_is_acyclic(self, montage):
-        assert nx.is_directed_acyclic_graph(montage.graph)
+        assert nx.is_directed_acyclic_graph(dependency_digraph(montage))
 
 
 class TestDependencies:

@@ -10,7 +10,7 @@ from repro.workloads.scaling import (
     transform_runtimes,
 )
 from repro.workloads.workflowgen import bag_of_tasks, chain, fork_join, layered_random
-from tests.conftest import make_job, make_trace
+from tests.conftest import dependency_digraph, make_job, make_trace
 
 
 class TestBagOfTasks:
@@ -47,7 +47,7 @@ class TestLayeredRandom:
 
     def test_acyclic(self):
         wf = layered_random([4, 4, 4, 4], seed=2)
-        assert nx.is_directed_acyclic_graph(wf.graph)
+        assert nx.is_directed_acyclic_graph(dependency_digraph(wf))
 
     def test_every_non_entry_task_has_dependency(self):
         wf = layered_random([2, 6, 6], seed=3)

@@ -1,6 +1,6 @@
 """Ablation (beyond the paper): DawningCloud design-choice sensitivity.
 
-Two knobs DESIGN.md calls out:
+Two knobs the paper fixes by fiat:
 
 1. the hourly idle-release check cadence (§3.2.2.1's "once per hour") —
    faster checks release dynamic resources sooner but churn more;

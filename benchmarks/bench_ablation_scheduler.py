@@ -1,7 +1,7 @@
 """Ablation (beyond the paper): does smarter scheduling close the gap?
 
-DESIGN.md asks how much of DawningCloud's saving comes from *dynamic
-resizing* rather than from scheduling.  Here the fixed-size DCS system runs
+The question: how much of DawningCloud's saving comes from *dynamic
+resizing* rather than from scheduling?  Here the fixed-size DCS system runs
 the NASA trace under first-fit (the paper's policy) and EASY backfilling;
 since DCS consumption is size × period by definition, scheduling only moves
 throughput/wait metrics — demonstrating that the economies of scale in the

@@ -21,7 +21,7 @@ Quickstart::
     cloud.shutdown()
     print(cloud.provider_metrics("nasa").to_row())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
+See docs/architecture.md for the layer map and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 
 Every experiment is a named scenario in

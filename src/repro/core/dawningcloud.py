@@ -118,8 +118,8 @@ class DawningCloud:
         else:
             # priority -1: the TRE exists before same-instant submissions.
             # Bound method, not a closure: pending events must survive
-            # engine snapshots, and deepcopy maps bound methods through the
-            # memo while closures alias the original object graph.  The
+            # engine snapshots, which pickle bound methods together with
+            # their instance but cannot copy a closure.  The
             # spec is looked up by name at fire time (not baked into the
             # event args) so a forked branch can retarget the policy of a
             # TRE that does not exist yet.

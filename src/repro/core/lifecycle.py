@@ -87,7 +87,7 @@ class LifecycleService:
 
         The deploy/start steps are bound methods, not closures: they sit in
         the event heap while latencies elapse, and heap-reachable callables
-        must deepcopy through the snapshot memo rather than alias the
+        must pickle along with the snapshot rather than alias the
         original run.
         """
         machine.transition(TREState.PLANNING, self.engine.now)

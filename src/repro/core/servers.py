@@ -334,8 +334,7 @@ class REServer:
     def dispatch(self) -> int:
         """Start whatever the scheduling policy picks; returns the count."""
         queue = self.queue
-        queued = queue.jobs_view
-        if not queued:
+        if not queue._jobs:
             return 0
         idle = self._owned - self.used
         if idle <= 0:
@@ -347,7 +346,7 @@ class REServer:
             return 0
         picked = self.scheduler.select(
             self.engine.now,
-            queued,
+            queue,
             idle,
             self.running.values(),
         )

@@ -1,9 +1,9 @@
 """Ablation experiments over DawningCloud's design choices.
 
-The paper fixes several knobs by fiat and DESIGN.md calls out the obvious
-questions behind each; every function here runs one of those sweeps and
-returns table rows (list of dicts) in the same style as the Tables 2-4
-harness, so the benchmark/CLI layers render them uniformly.
+The paper fixes several knobs by fiat, each hiding an obvious question
+(docs/ablation.md lists them); every function here runs one of those
+sweeps and returns table rows (list of dicts) in the same style as the
+Tables 2-4 harness, so the benchmark/CLI layers render them uniformly.
 
 Since the sensitivity engine landed, none of these sweeps hand-rolls its
 runs: each one *declares* an :class:`~repro.experiments.sensitivity

@@ -115,7 +115,8 @@ def render_experiments_md(
     w(f"Everything below is regenerated by `repro-experiments "
       f"experiments-md --seed {seed}` (this file is that command's "
       f"output). Workloads are calibrated synthetic stand-ins for the "
-      f"paper's traces (see DESIGN.md §2), so **absolute numbers differ; "
+      f"paper's traces (see the `repro.workloads.traces` docstring), so "
+      f"**absolute numbers differ; "
       f"the checked claims are the paper's qualitative shapes** — who "
       f"wins, with what sign, in what order. Shape checks come from "
       f"`repro.experiments.paperdata`.\n")

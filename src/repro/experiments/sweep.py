@@ -26,7 +26,7 @@ from repro.systems.dsp_runner import (
 
 #: ``share_prefix="auto"`` branches only when the R-independent warm-up
 #: (everything before the first workload submission) covers at least this
-#: fraction of the horizon.  Forking deep-copies a fully loaded world —
+#: fraction of the horizon.  Forking copies a fully loaded world —
 #: measurably more expensive than a cold build plus replay of a short
 #: prefix — so sharing pays only when the shared prefix is long.
 SHARED_PREFIX_MIN_FRACTION = 0.25
@@ -119,7 +119,7 @@ def sweep_htc_parameters(
 
     ``share_prefix`` branches each B-group off one shared warm-up prefix
     instead of re-simulating it per R (``"auto"`` shares only when the
-    prefix is long enough to pay for the fork's deep copy; see
+    prefix is long enough to pay for the fork's copy; see
     :data:`SHARED_PREFIX_MIN_FRACTION`).  Either path yields
     byte-identical points.
     """

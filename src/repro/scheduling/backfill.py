@@ -7,7 +7,7 @@ if they finish before that reservation (so the head is never delayed).
 
 Including it lets the benchmark suite ask how much of DawningCloud's saving
 comes from dynamic resizing versus from smarter scheduling — one of the
-design-choice ablations DESIGN.md calls out.
+design-choice ablations in :mod:`repro.experiments.ablations`.
 
 The implementation assumes exact runtime knowledge (the simulator has it);
 with user estimates it would be the usual estimate-based variant.

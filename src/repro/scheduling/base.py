@@ -59,6 +59,8 @@ class Scheduler(abc.ABC):
     ) -> list[Job]:
         """Return the queued jobs to start at ``now``.
 
+        ``queued`` iterates in arrival order and has a length; servers
+        pass their :class:`~repro.scheduling.queue.JobQueue` itself.
         Implementations must never select more aggregate width than
         ``free_nodes`` and must preserve queue membership (no duplicates).
         """

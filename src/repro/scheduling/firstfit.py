@@ -7,13 +7,16 @@ requirement can be met by the system, to execute."
 The dispatcher calls :meth:`select` repeatedly (after every arrival,
 completion or resource change), so scanning greedily until nothing fits is
 equivalent to the paper's one-at-a-time formulation but needs fewer passes.
+The scan itself is :meth:`JobQueue.first_fit`, which reaches the same picks
+from per-size buckets without visiting every queued job.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from repro.scheduling.base import RunningJob, Scheduler
+from repro.scheduling.queue import JobQueue
 from repro.workloads.job import Job
 
 
@@ -26,16 +29,10 @@ class FirstFitScheduler(Scheduler):
     def select(
         self,
         now: float,
-        queued: Sequence[Job],
+        queued: Iterable[Job],
         free_nodes: int,
-        running: Sequence[RunningJob] = (),
+        running: Iterable[RunningJob] = (),
     ) -> list[Job]:
-        picked: list[Job] = []
-        remaining = free_nodes
-        for job in queued:
-            if job.size <= remaining:
-                picked.append(job)
-                remaining -= job.size
-            if remaining <= 0:
-                break
-        return picked
+        if not isinstance(queued, JobQueue):
+            queued = JobQueue.of(queued)
+        return queued.first_fit(free_nodes)

@@ -7,9 +7,9 @@ every job arrives later through :meth:`~SimulationService.submit` or
 on the live engine.  The service is therefore just more world state
 riding on the engine — which is the whole design: forking the service
 (`what-if` queries, see :mod:`repro.serving.whatif`) is one
-:func:`~repro.simkit.snapshot.fork_world` deepcopy with the service as
-the world root, so pending-arrival events, ingest counters and rolling
-metric cursors all branch consistently.
+:func:`~repro.simkit.snapshot.fork_world` pickle round trip with the
+service as the world root, so pending-arrival events, ingest counters
+and rolling metric cursors all branch consistently.
 
 Admission control
 -----------------
@@ -246,7 +246,7 @@ class SimulationService:
         """Arrival event body: hand the job to the live system's server.
 
         A bound method on the service (not a closure) so pending
-        arrivals deepcopy consistently through world forks.
+        arrivals pickle consistently through world forks.
         """
         self._pending_map.pop(job.job_id, None)
         live = self.live
@@ -312,9 +312,12 @@ class SimulationService:
 
         Forces exact mode first (a hybrid live run may still hold its
         boot trace columnar) so the fork is event-granular, then runs
-        the snapshot layer's guard rails and deep-copies *the service*
-        as the world root — counters, pending-arrival map and metric
-        cursors branch together with the engine.
+        the snapshot layer's guard rails and copies *the service* as the
+        world root with one pickle round trip — counters, pending-arrival
+        map and metric cursors branch together with the engine.  A world
+        holding a value pickle cannot copy (a lambda hook, say) raises
+        :class:`~repro.simkit.snapshot.SnapshotAliasError` and stays
+        untouched.
         """
         self._check_open()
         self._ensure_live_exact()

@@ -4,21 +4,26 @@ An :class:`EngineSnapshot` freezes an entire simulation *world* — the
 engine (heap entries, clock, executed/cancelled counters), every timer
 riding on it (grid epoch, armed tick index, suspension state), the seeded
 RNG streams, cluster/ledger/billing state and the runners' server/queue
-state — by deep-copying the world's root object through one shared memo.
-:meth:`EngineSnapshot.restore` hands back a *fresh* deep copy, so a single
+state — by pickling the world's root object into one byte string.
+:meth:`EngineSnapshot.restore` unpickles a *fresh* copy, so a single
 snapshot can branch arbitrarily many what-if continuations, each with its
-own disjoint mutable state.
+own disjoint mutable state.  Both directions run in the C pickler.
 
 Determinism argument
 --------------------
 The engine is a pure function of its heap and clock: events fire in
 ``(time, priority, seq)`` order and scheduling happens only from event
-callbacks.  A deep copy maps every reachable object — including the
-callables inside heap entries, which is why they must be *bound methods*
-or :class:`functools.partial` objects (both copy their ``__self__``/args
-through the memo) rather than closures (atomic under deepcopy, so they
-would silently alias the original world's mutable state).
-:func:`verify_heap_callables` enforces that invariant at snapshot time.
+callbacks.  One pickle pass copies every reachable object exactly once
+(the pickler's memo keeps shared references shared), rebuilding dicts,
+lists and heaps in their original order.  Functions and classes are
+stored by qualified name, so they are the same objects in every branch;
+everything else is copied.  The callables inside heap entries must
+therefore be *bound methods* or :class:`functools.partial` objects (both
+pickle their ``__self__``/args along with the world) rather than
+closures, which have no importable name.  :func:`verify_heap_callables`
+names an offending heap closure at fork time; any other value the
+pickler cannot store (a lambda hooked onto a server, say) surfaces as a
+:class:`SnapshotAliasError` naming its type.
 
 Two pieces of process-global state survive on purpose:
 
@@ -27,12 +32,14 @@ Two pieces of process-global state survive on purpose:
   youngest-first), and ids allocated after a restore are always larger
   than any pre-snapshot id, so branches bill identically even though
   their absolute ids differ from an uninterrupted run's.
-* interned immutables (strings, small ints) — shared by design.
+* functions, classes and module globals — stored by name, shared by
+  design.
 """
 
 from __future__ import annotations
 
-import copy
+import io
+import pickle
 import types
 from functools import partial
 from typing import Any, Optional
@@ -41,7 +48,7 @@ from repro.simkit.engine import SimulationEngine
 
 
 class SnapshotAliasError(RuntimeError):
-    """A heap callable would alias the original world after deepcopy."""
+    """The world holds a value that a snapshot cannot copy faithfully."""
 
 
 def _innermost_function(fn: Any) -> Any:
@@ -56,12 +63,12 @@ def _innermost_function(fn: Any) -> Any:
 
 
 def verify_heap_callables(engine: SimulationEngine) -> None:
-    """Reject pending events whose callbacks cannot survive a deep copy.
+    """Reject pending events whose callbacks cannot survive a snapshot.
 
-    Bound methods and partials deepcopy through the memo; plain functions
-    are fine only when they close over nothing (deepcopy treats functions
-    as atomic, so captured cells would keep pointing into the original
-    world).  This is the guard that flushes out latent alias bugs the
+    Bound methods and partials pickle together with the world they point
+    into; plain functions are stored by name, which a closure does not
+    have (and whose captured cells would point into the original world
+    anyway).  This is the guard that flushes out latent alias bugs the
     moment someone schedules a closure into a snapshot-able world.
     """
     for entry in engine._heap:
@@ -84,15 +91,15 @@ def assert_forkable(
     *,
     max_pending_events: Optional[int] = None,
 ) -> None:
-    """All snapshot/fork preconditions, without paying for a deepcopy.
+    """All snapshot/fork preconditions, without paying for a copy.
 
     Long-lived services fork on every what-if query, so they want the
     failure modes (mid-callback fork, closure in the heap, unbounded
     pending backlog) surfaced as a cheap precondition check with a
-    pointed error, not as a deep-copy surprise.  ``max_pending_events``
+    pointed error, not as a pickling surprise.  ``max_pending_events``
     optionally bounds the live heap size: forking a world with millions
-    of pending arrivals deep-copies all of them, which a service-level
-    caller may prefer to refuse outright.
+    of pending arrivals copies all of them, which a service-level caller
+    may prefer to refuse outright.
     """
     if engine is None:
         engine = world.engine
@@ -112,25 +119,66 @@ def assert_forkable(
             )
 
 
-class EngineSnapshot:
-    """A frozen deep copy of a simulation world at one instant.
+#: What pickling raises for a value it cannot store: a function with no
+#: importable name, an object whose reduction fails, a lock or a generator.
+_UNPICKLABLE = (pickle.PicklingError, AttributeError, TypeError)
 
-    The snapshot owns a private deep copy of ``world``; every
-    :meth:`restore` returns another fresh deep copy of that private copy,
-    so neither the original run nor any branch can reach the snapshot's
-    state (or each other's).
+
+class _CulpritPickler(pickle._Pickler):
+    """The pure-Python pickler, remembering the innermost failing value."""
+
+    culprit: Any = None
+
+    def save(self, obj: Any, save_persistent_id: bool = True) -> None:
+        try:
+            super().save(obj, save_persistent_id)
+        except _UNPICKLABLE:
+            if self.culprit is None:
+                self.culprit = obj
+            raise
+
+
+def _dumps(world: Any) -> bytes:
+    """The world as pickle bytes, or a :class:`SnapshotAliasError`."""
+    try:
+        return pickle.dumps(world, pickle.HIGHEST_PROTOCOL)
+    except _UNPICKLABLE as exc:
+        error = exc
+    # Slow path, taken only on failure: pickle again in pure Python to
+    # find the value the C pickler gave up on.
+    finder = _CulpritPickler(io.BytesIO(), pickle.HIGHEST_PROTOCOL)
+    try:
+        finder.dump(world)
+    except _UNPICKLABLE:
+        pass
+    culprit = finder.culprit
+    name = getattr(culprit, "__qualname__", None)
+    what = type(culprit).__qualname__ + (f" {name!r}" if name else "")
+    raise SnapshotAliasError(
+        f"cannot snapshot the world: it holds a {what} that pickle cannot "
+        f"copy ({error}); hold a bound method, functools.partial or "
+        f"module-level function instead"
+    ) from error
+
+
+class EngineSnapshot:
+    """A frozen, pickled copy of a simulation world at one instant.
+
+    The snapshot owns the world's pickle bytes; every :meth:`restore`
+    unpickles another fresh copy, so neither the original run nor any
+    branch can reach the snapshot's state (or each other's).
     """
 
-    __slots__ = ("_world", "time", "label")
+    __slots__ = ("_data", "time", "label")
 
-    def __init__(self, world: Any, time: float, label: str = "") -> None:
-        self._world = world
+    def __init__(self, data: bytes, time: float, label: str = "") -> None:
+        self._data = data
         self.time = time
         self.label = label
 
     def restore(self) -> Any:
         """A fresh, fully disjoint copy of the world, ready to continue."""
-        return copy.deepcopy(self._world)
+        return pickle.loads(self._data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         tag = f" {self.label!r}" if self.label else ""
@@ -147,25 +195,20 @@ def snapshot_world(
     if engine is None:
         engine = world.engine
     assert_forkable(world, engine)
-    return EngineSnapshot(copy.deepcopy(world), engine.now, label)
+    return EngineSnapshot(_dumps(world), engine.now, label)
 
 
 def fork_world(world: Any, engine: Optional[SimulationEngine] = None) -> Any:
     """One live branch of ``world``, without keeping a snapshot around.
 
     Semantically ``snapshot_world(world).restore()`` — the same alias
-    verification, the same disjointness guarantee — at half the copying
-    cost (one deepcopy instead of snapshot + restore).  Use it when
-    branches are consumed immediately (prefix-shared sweeps); keep an
+    verification, the same disjointness guarantee — as one pickle round
+    trip whose bytes are dropped at once.  Use it when branches are
+    consumed immediately (prefix-shared sweeps, what-if queries); keep an
     :class:`EngineSnapshot` when the frozen state itself must outlive the
     run that produced it.
     """
     if engine is None:
         engine = world.engine
-    if engine._running:
-        raise RuntimeError(
-            "cannot fork while the engine is running; fork between "
-            "run()/advance_before() calls"
-        )
-    verify_heap_callables(engine)
-    return copy.deepcopy(world)
+    assert_forkable(world, engine)
+    return pickle.loads(_dumps(world))

@@ -11,7 +11,7 @@ This package provides everything the evaluation consumes:
   dropped in where the paper used NASA iPSC and SDSC BLUE.
 * :mod:`repro.workloads.traces` — seeded synthetic stand-ins for the two
   archive traces, calibrated to the utilization/size/count figures the
-  paper reports (see DESIGN.md §2 for the substitution argument).
+  paper reports (its module docstring gives the substitution argument).
 * :mod:`repro.workloads.montage` — the Montage-1000 workflow generator.
 * :mod:`repro.workloads.archive` — a catalog of synthetic stand-ins for
   further Parallel Workloads Archive logs spanning the 24.4%-86.5%

@@ -11,7 +11,7 @@ The paper replays two logs from the Parallel Workloads Archive:
 
 The archive is not reachable from this environment, so this module
 *synthesizes* traces with the properties the paper's conclusions rest on
-(see DESIGN.md §2):
+(this list is the substitution argument):
 
 1. exact job counts and machine sizes;
 2. utilization calibrated to the reported figure (a single multiplicative

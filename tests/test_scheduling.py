@@ -40,6 +40,7 @@ class TestJobQueue:
         q.push(make_job(2, size=9))
         assert q.total_demand == 13
         assert q.biggest_demand == 9
+        assert q.smallest_demand == 4
 
     def test_empty_aggregates(self):
         q = JobQueue()
@@ -58,25 +59,43 @@ class TestFirstFit:
     def test_skips_wide_head(self):
         """§4.4: picks the first job whose requirement can be met."""
         sched = FirstFitScheduler()
-        queued = [make_job(1, size=10), make_job(2, size=3)]
+        queued = JobQueue.of([make_job(1, size=10), make_job(2, size=3)])
         picked = sched.select(0.0, queued, free_nodes=4)
         assert [j.job_id for j in picked] == [2]
 
     def test_greedy_packs_in_arrival_order(self):
         sched = FirstFitScheduler()
-        queued = [make_job(i, size=s) for i, s in ((1, 2), (2, 2), (3, 2))]
+        queued = JobQueue.of(
+            make_job(i, size=s) for i, s in ((1, 2), (2, 2), (3, 2))
+        )
         picked = sched.select(0.0, queued, free_nodes=5)
         assert [j.job_id for j in picked] == [1, 2]
 
     def test_never_exceeds_free_nodes(self):
         sched = FirstFitScheduler()
-        queued = [make_job(i, size=3) for i in range(1, 10)]
+        queued = JobQueue.of(make_job(i, size=3) for i in range(1, 10))
         picked = sched.select(0.0, queued, free_nodes=7)
         assert sum(j.size for j in picked) <= 7
 
     def test_zero_free_nodes(self):
         sched = FirstFitScheduler()
-        assert sched.select(0.0, [make_job(1)], free_nodes=0) == []
+        queued = JobQueue.of([make_job(1)])
+        assert sched.select(0.0, queued, free_nodes=0) == []
+
+    def test_requeued_job_goes_to_the_tail(self):
+        sched = FirstFitScheduler()
+        a, b = make_job(1, size=2), make_job(2, size=2)
+        queued = JobQueue.of([a, b])
+        queued.remove(a)
+        queued.push(a)
+        picked = sched.select(0.0, queued, free_nodes=2)
+        assert [j.job_id for j in picked] == [2]
+
+    def test_accepts_a_plain_list(self):
+        sched = FirstFitScheduler()
+        queued = [make_job(1, size=10), make_job(2, size=3)]
+        picked = sched.select(0.0, queued, free_nodes=4)
+        assert [j.job_id for j in picked] == [2]
 
 
 class TestFcfs:
@@ -93,7 +112,7 @@ class TestFcfs:
 
     def test_equivalent_to_firstfit_for_unit_jobs(self):
         queued = [make_job(i, size=1) for i in range(1, 8)]
-        ff = FirstFitScheduler().select(0.0, queued, free_nodes=4)
+        ff = FirstFitScheduler().select(0.0, JobQueue.of(queued), free_nodes=4)
         fc = FcfsScheduler().select(0.0, queued, free_nodes=4)
         assert [j.job_id for j in ff] == [j.job_id for j in fc]
 

@@ -1,6 +1,7 @@
 """Tests for the synthetic NASA/BLUE trace generators.
 
-These assert the calibration properties DESIGN.md §2 promises — the
+These assert the calibration properties the `repro.workloads.traces`
+docstring promises — the
 properties the paper's conclusions rest on.
 """
 
